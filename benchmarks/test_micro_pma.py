@@ -46,6 +46,32 @@ def test_pma_batch_delete_reinsert(benchmark, edge_keys):
     assert len(pma) == N_EDGES
 
 
+@pytest.mark.parametrize("adds,dels", [(8, 4), (500, 500)], ids=["serving", "training"])
+def test_pma_update_batch_at_workload_scale(benchmark, adds, dels):
+    """Update batches on a ~27k-key array, the size of the sx-mathoverflow
+    stand-in at scale 0.25: a serving batch (8 adds, 4 deletes) and a
+    training snapshot step (~500 each way).  Small batches expose per-call
+    cost that a whole-array pass would hide at BATCH=500 on 50k keys.  One
+    op applies the batch and then undoes it, so every round starts from the
+    same layout."""
+    rng = np.random.default_rng(1)
+    live = np.unique(rng.integers(0, 10**9, 30_000))[:27_000]
+    pma = PackedMemoryArray()
+    pma.insert_batch(live, live)
+    fresh = np.setdiff1d(np.unique(rng.integers(0, 10**9, adds * 2)), live)[:adds]
+    doomed = rng.choice(live, dels, replace=False)
+
+    def op():
+        pma.insert_batch(fresh, fresh)
+        pma.delete_batch(doomed)
+        pma.insert_batch(doomed, doomed)
+        pma.delete_batch(fresh)
+
+    benchmark(op)
+    pma.check_invariants()
+    assert len(pma) == len(live)
+
+
 def test_ablation_full_csr_rebuild(benchmark, edge_keys):
     """The alternative GPMAGraph avoids: rebuild everything per timestamp."""
     n = 1 << 15

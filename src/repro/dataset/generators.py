@@ -19,22 +19,35 @@ def _dedupe(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gnp_edges(num_nodes: int, num_edges: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """~uniform random directed simple edges (Erdős–Rényi flavour)."""
+    """~uniform random directed simple edges (Erdős–Rényi flavour).
+
+    Edges are the first appearances of distinct ``(src, dst)`` pairs in a
+    stream of random draws.  A ``seen`` mask over all ``num_nodes**2`` pairs
+    makes each round cost its own draw only, so near-complete graphs, which
+    need many small rounds near the end, stay fast.
+    """
+    if num_edges > num_nodes * (num_nodes - 1):
+        raise ValueError(
+            f"{num_edges} edges exceed the {num_nodes * (num_nodes - 1)} simple directed "
+            f"edges of a {num_nodes}-node graph"
+        )
     rng = np.random.default_rng(seed)
-    src_parts, dst_parts, have = [], [], 0
+    seen = np.zeros(num_nodes * num_nodes, dtype=bool)
+    src_parts, dst_parts, have = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
     while have < num_edges:
         want = int((num_edges - have) * 1.3) + 16
         s = rng.integers(0, num_nodes, want)
         d = rng.integers(0, num_nodes, want)
         keep = s != d
-        src_parts.append(s[keep])
-        dst_parts.append(d[keep])
-        s_all = np.concatenate(src_parts)
-        d_all = np.concatenate(dst_parts)
-        s_all, d_all = _dedupe(s_all, d_all)
-        src_parts, dst_parts = [s_all], [d_all]
-        have = len(s_all)
-    return src_parts[0][:num_edges], dst_parts[0][:num_edges]
+        s, d = s[keep], d[keep]
+        pairs, first = np.unique(s * num_nodes + d, return_index=True)
+        new = ~seen[pairs]
+        seen[pairs[new]] = True
+        idx = np.sort(first[new])
+        src_parts.append(s[idx])
+        dst_parts.append(d[idx])
+        have += len(idx)
+    return np.concatenate(src_parts)[:num_edges], np.concatenate(dst_parts)[:num_edges]
 
 
 def powerlaw_edges(

@@ -9,9 +9,11 @@ This package is a faithful CPU PMA with the same semantics:
 
 * gapped, globally sorted storage with ``SPACE`` sentinels;
 * segments with level-dependent density bounds;
-* **batched** insert/delete with window rebalancing (the GPMA's levelwise
-  parallel rebalance becomes a vectorized NumPy redistribution over the same
-  windows);
+* **batched** insert/delete, each a whole-batch pass: the batch is routed
+  to segments, only the touched segments and their rebalance windows are
+  gathered, and one sort and one scatter write the new layout (the GPMA's
+  levelwise parallel update, with windows chosen for all overflowing
+  segments at once);
 * adaptive capacity growth/shrink when the root density bound is violated.
 
 Edges are stored as ``src * n_dst + dst`` encoded keys with the edge id as

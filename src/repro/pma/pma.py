@@ -14,16 +14,37 @@ gap positions are deterministic.
 Updates
 -------
 :meth:`insert_batch` / :meth:`delete_batch` are the GPMA batch update
-primitives.  Each batch is grouped by target segment; segments that stay
-within their density bound absorb their items with a local sorted merge,
-otherwise the smallest enclosing *window* (aligned group of ``2**d``
-segments) satisfying the depth-``d`` density bound is rebalanced by
-redistributing its items evenly — the CPU equivalent of GPMA's levelwise
-parallel rebalance.  When the root bound is violated the capacity doubles
-(or halves) and everything is redistributed.
+primitives, each one whole-batch pass — the CPU counterpart of GPMA's
+levelwise parallel update — rather than one pass per segment:
 
-Complexity: amortized ``O(log^2 n)`` slot moves per update, matching the PMA
-literature; all bulk moves are vectorized.
+* *Upsert.*  The batch is routed to segments by ``_seg_min``; gathering the
+  valid items of just those segments gives a sorted run, and one
+  ``searchsorted`` over it finds the keys already present, whose values are
+  overwritten with one scatter.
+* *Insert.*  A segment whose post-batch count stays within the leaf bound
+  keeps a sorted prefix.  An overflowing segment takes the smallest
+  enclosing *window* (aligned group of ``2**d`` segments) whose post-batch
+  density meets the depth-``d`` bound.  Aligned windows nest, so a window's
+  post-batch occupancy is the sum of its segments' counts plus their
+  pending keys whatever order segments are handled in, and every window
+  follows from the pre-batch state; nested choices merge into the outer
+  one, which is spread evenly.  One stable sort of the affected items plus
+  the batch, split by the final per-segment counts, writes the new layout
+  with one scatter.
+* *Delete.*  One gather of the routed segments, one ``searchsorted`` to
+  find the doomed keys, one compaction scatter.  A segment left below the
+  leaf lower bound is then repaired by the smallest enclosing window that
+  meets its lower bound, segment by segment in order.
+
+When the root bound is violated the capacity doubles (or halves) and
+everything is redistributed.  The resulting layout is a pure function of
+the pre-batch layout and the batch.
+
+Cost: work is proportional to the batch plus the touched segments and
+their windows — ``O(log^2 n)`` amortized slot moves per update, matching
+the PMA literature — with a constant number of NumPy calls per batch plus
+one small per-segment pass (routing minima, segment counts).  No step
+scans the whole slot array except a resize.
 """
 
 from __future__ import annotations
@@ -44,6 +65,12 @@ __all__ = ["PackedMemoryArray", "SPACE_KEY"]
 
 SPACE_KEY = np.int64(-1)
 _POS_INF = np.iinfo(np.int64).max
+
+
+def _lookup(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each query in non-empty ``sorted_keys`` and whether it is there."""
+    pos = np.minimum(np.searchsorted(sorted_keys, queries), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == queries
 
 
 class PackedMemoryArray:
@@ -83,8 +110,8 @@ class PackedMemoryArray:
         start = seg * self.seg_size
         return slice(start, start + int(self._counts[seg]))
 
-    def _refresh_seg_min(self) -> None:
-        """Recompute the per-segment minimum-key array used for routing.
+    def _expected_seg_min(self) -> np.ndarray:
+        """The per-segment minimum-key array used for routing.
 
         Empty segments inherit the *next* non-empty segment's minimum
         (backward fill, trailing empties get +inf) so the array is
@@ -93,7 +120,11 @@ class PackedMemoryArray:
         """
         starts = np.arange(self.num_segments) * self.seg_size
         firsts = np.where(self._counts > 0, self.keys[starts], _POS_INF)
-        self._seg_min[:] = np.minimum.accumulate(firsts[::-1])[::-1]
+        return np.minimum.accumulate(firsts[::-1])[::-1]
+
+    def _refresh_seg_min(self) -> None:
+        """Recompute ``_seg_min`` in place after a layout change."""
+        self._seg_min[:] = self._expected_seg_min()
 
     def _route(self, keys: np.ndarray) -> np.ndarray:
         """Target segment per key: rightmost segment whose min ≤ key.
@@ -129,10 +160,7 @@ class PackedMemoryArray:
         keys = np.asarray(keys, dtype=np.int64)
         if self.n_items == 0:
             return np.zeros(len(keys), dtype=bool)
-        valid_keys, _ = self.export_items()
-        pos = np.searchsorted(valid_keys, keys)
-        pos_clipped = np.minimum(pos, len(valid_keys) - 1)
-        return (pos < len(valid_keys)) & (valid_keys[pos_clipped] == keys)
+        return self._locate(keys) >= 0
 
     def export_items(self) -> tuple[np.ndarray, np.ndarray]:
         """All valid ``(keys, values)`` in sorted order (compacted copy)."""
@@ -149,6 +177,27 @@ class PackedMemoryArray:
     def segment_counts(self) -> np.ndarray:
         """Per-segment valid-item counts (copy)."""
         return self._counts.copy()
+
+    # ------------------------------------------------------------------
+    # Slot addressing
+    # ------------------------------------------------------------------
+    def _prefix_slots(self, segs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Slots of the first ``counts[i]`` positions of each segment ``segs[i]``.
+
+        For ascending ``segs`` and their current counts these are the slots
+        of the valid items, in global key order.
+        """
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat(segs * self.seg_size, counts) + np.arange(starts.size) - starts
+
+    def _locate(self, keys: np.ndarray) -> np.ndarray:
+        """Slot holding each key, or -1 where the key is absent."""
+        segs = np.unique(self._route(keys))
+        slots = self._prefix_slots(segs, self._counts[segs])
+        if slots.size == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        pos, hit = _lookup(self.keys[slots], keys)
+        return np.where(hit, slots[pos], -1)
 
     # ------------------------------------------------------------------
     # Batched insert
@@ -172,97 +221,80 @@ class PackedMemoryArray:
         keys, values = keys[uniq_mask], values[uniq_mask]
 
         # Upsert keys that already exist (no structural change).
-        present = self.contains_batch(keys)
-        if present.any():
-            for k, v in zip(keys[present], values[present]):
-                self._overwrite(int(k), int(v))
+        if self.n_items:
+            slots = self._locate(keys)
+            present = slots >= 0
+            self.values[slots[present]] = values[present]
             keys, values = keys[~present], values[~present]
-        if len(keys) == 0:
-            return 0
+            if len(keys) == 0:
+                return 0
 
         # Grow proactively if the batch alone would breach the root bound.
         while (self.n_items + len(keys)) / self.capacity > self.bounds.upper(self.bounds.height):
-            self._resize(self.capacity * 2, extra_keys=None)
+            self._resize(self.capacity * 2)
 
         segs = self._route(keys)
-        pending_per_seg = np.bincount(segs, minlength=self.num_segments)
-        touched = np.flatnonzero(pending_per_seg)
-        seg_offsets = np.zeros(self.num_segments + 1, dtype=np.int64)
-        np.cumsum(pending_per_seg, out=seg_offsets[1:])
+        touched = np.unique(segs)
+        final = self._counts + np.bincount(segs, minlength=self.num_segments)
+        over = touched[final[touched] > self.bounds.upper(0) * self.seg_size]
+        region = [touched]
+        for s0, s1 in self._insert_windows(over, final):
+            base, rem = divmod(int(final[s0:s1].sum()), s1 - s0)
+            final[s0:s1] = base
+            final[s0 : s0 + rem] += 1
+            region.append(np.arange(s0, s1))
+        region = np.unique(np.concatenate(region))
 
-        handled = np.zeros(self.num_segments, dtype=bool)
-        upper0 = self.bounds.upper(0) * self.seg_size
-        for seg in touched:
-            if handled[seg]:
-                continue
-            new_count = int(self._counts[seg]) + int(pending_per_seg[seg])
-            pend_sl = slice(int(seg_offsets[seg]), int(seg_offsets[seg + 1]))
-            if new_count <= upper0:
-                self._merge_into_segment(int(seg), keys[pend_sl], values[pend_sl])
-                handled[seg] = True
-            else:
-                s0, s1 = self._find_insert_window(int(seg), pending_per_seg, handled)
-                self._rebalance_window(
-                    s0,
-                    s1,
-                    extra=self._collect_pending(s0, s1, keys, values, segs, seg_offsets, handled),
-                )
+        # The region's items plus the batch, sorted, split by the final
+        # counts: touched segments outside every window keep a sorted
+        # prefix, each window is spread evenly.
+        old = self._prefix_slots(region, self._counts[region])
+        merged_k = np.concatenate([self.keys[old], keys])
+        merged_v = np.concatenate([self.values[old], values])
+        order = np.argsort(merged_k, kind="stable")
+        counts = final[region]
+        new = self._prefix_slots(region, counts)
+        self.keys[old] = SPACE_KEY
+        self.values[old] = -1
+        self.keys[new] = merged_k[order]
+        self.values[new] = merged_v[order]
+        self._counts[region] = counts
         self.n_items += len(keys)
         self._refresh_seg_min()
         return len(keys)
 
-    def _overwrite(self, key: int, value: int) -> None:
-        seg = int(self._route(np.asarray([key], dtype=np.int64))[0])
-        base = seg * self.seg_size
-        idx = int(np.searchsorted(self.keys[self._seg_slice(seg)], key))
-        if idx < int(self._counts[seg]) and self.keys[base + idx] == key:
-            self.values[base + idx] = value
-        else:  # pragma: no cover - guarded by contains_batch
-            raise KeyError(key)
+    def _insert_windows(self, over: np.ndarray, final: np.ndarray) -> list[tuple[int, int]]:
+        """Maximal rebalance windows ``(s0, s1)`` for the overflowing segments.
 
-    def _merge_into_segment(self, seg: int, new_keys: np.ndarray, new_values: np.ndarray) -> None:
-        base = seg * self.seg_size
-        count = int(self._counts[seg])
-        merged_k = np.concatenate([self.keys[base : base + count], new_keys])
-        merged_v = np.concatenate([self.values[base : base + count], new_values])
-        order = np.argsort(merged_k, kind="stable")
-        total = len(merged_k)
-        self.keys[base : base + total] = merged_k[order]
-        self.values[base : base + total] = merged_v[order]
-        self._counts[seg] = total
-
-    def _find_insert_window(
-        self, seg: int, pending_per_seg: np.ndarray, handled: np.ndarray
-    ) -> tuple[int, int]:
-        """Smallest aligned window around ``seg`` within its upper bound.
-
-        Pending items of already-handled segments are excluded: their counts
-        were folded into ``_counts`` by the earlier local merge.
+        ``final`` is each segment's post-batch count.  Aligned windows nest,
+        so a window's post-batch occupancy is its sum of ``final`` whatever
+        order the segments are handled in: each overflowing segment takes
+        the smallest window around it within its depth's upper bound, and a
+        window inside another chosen one merges into it.
         """
-        for depth in range(1, self.bounds.height + 1):
-            s0, s1 = window_bounds(seg, depth, self.num_segments)
-            pend = pending_per_seg[s0:s1][~handled[s0:s1]]
-            occupancy = int(self._counts[s0:s1].sum()) + int(pend.sum())
-            if occupancy <= self.bounds.upper(depth) * (s1 - s0) * self.seg_size:
-                return s0, s1
-        # Unreachable: insert_batch grows proactively so the root window
-        # (depth == height, the whole array) always satisfies its bound.
-        raise RuntimeError("no window satisfies its density bound; proactive growth failed")
-
-    def _collect_pending(
-        self,
-        s0: int,
-        s1: int,
-        keys: np.ndarray,
-        values: np.ndarray,
-        segs: np.ndarray,
-        seg_offsets: np.ndarray,
-        handled: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Consume all not-yet-handled pending items routed into [s0, s1)."""
-        take = (segs >= s0) & (segs < s1) & ~handled[segs]
-        handled[s0:s1] = True
-        return keys[take], values[take]
+        if len(over) == 0:
+            return []
+        prefix = np.zeros(len(final) + 1, dtype=np.int64)
+        np.cumsum(final, out=prefix[1:])
+        depth = np.zeros(len(over), dtype=np.int64)
+        for d in range(1, self.bounds.height + 1):
+            s0 = (over >> d) << d
+            s1 = np.minimum(s0 + (1 << d), self.num_segments)
+            fits = prefix[s1] - prefix[s0] <= self.bounds.upper(d) * (s1 - s0) * self.seg_size
+            depth[(depth == 0) & fits] = d
+            if depth.all():
+                break
+        else:
+            # Unreachable: insert_batch grows proactively so the root window
+            # (depth == height, the whole array) always satisfies its bound.
+            raise RuntimeError("no window satisfies its density bound; proactive growth failed")
+        s0 = (over >> depth) << depth
+        s1 = np.minimum(s0 + (1 << depth), self.num_segments)
+        order = np.lexsort((-s1, s0))  # at equal starts the outer window first
+        s0, s1 = s0[order], s1[order]
+        outer = np.ones(len(s0), dtype=bool)
+        outer[1:] = s1[1:] > np.maximum.accumulate(s1)[:-1]
+        return list(zip(s0[outer].tolist(), s1[outer].tolist()))
 
     # ------------------------------------------------------------------
     # Batched delete
@@ -272,37 +304,30 @@ class PackedMemoryArray:
         keys = np.unique(np.asarray(keys, dtype=np.int64))
         if len(keys) == 0 or self.n_items == 0:
             return 0
-        segs = self._route(keys)
-        removed_total = 0
-        for seg in np.unique(segs):
-            seg = int(seg)
-            base = seg * self.seg_size
-            count = int(self._counts[seg])
-            if count == 0:
-                continue
-            seg_keys = self.keys[base : base + count]
-            doomed = keys[segs == seg]
-            keep_mask = ~np.isin(seg_keys, doomed)
-            removed = count - int(keep_mask.sum())
-            if removed == 0:
-                continue
-            kept = int(keep_mask.sum())
-            self.keys[base : base + kept] = seg_keys[keep_mask]
-            self.values[base : base + kept] = self.values[base : base + count][keep_mask]
-            self.keys[base + kept : base + count] = SPACE_KEY
-            self.values[base + kept : base + count] = -1
-            self._counts[seg] = kept
-            removed_total += removed
+        segs = np.unique(self._route(keys))
+        slots = self._prefix_slots(segs, self._counts[segs])
+        _, doomed = _lookup(keys, self.keys[slots])
+        removed_total = int(doomed.sum())
         if removed_total == 0:
             return 0
+        kept = slots[~doomed]
+        counts = np.bincount(np.searchsorted(segs, kept // self.seg_size), minlength=len(segs))
+        kept_k, kept_v = self.keys[kept], self.values[kept]
+        self.keys[slots] = SPACE_KEY
+        self.values[slots] = -1
+        new = self._prefix_slots(segs, counts)
+        self.keys[new] = kept_k
+        self.values[new] = kept_v
+        self._counts[segs] = counts
         self.n_items -= removed_total
 
-        # Fix underflowing windows bottom-up.
+        # Fix underflowing windows bottom-up, in segment order.  A rebalance
+        # moves items into later segments of its window, so each step
+        # re-reads the counts of the segments not yet visited.
         lower0 = self.bounds.lower(0) * self.seg_size
-        for seg in np.unique(segs):
-            seg = int(seg)
-            if int(self._counts[seg]) >= lower0:
-                continue
+        while len(low := np.flatnonzero(self._counts[segs] < lower0)):
+            seg = int(segs[low[0]])
+            segs = segs[low[0] + 1 :]
             for depth in range(1, self.bounds.height + 1):
                 s0, s1 = window_bounds(seg, depth, self.num_segments)
                 occ = int(self._counts[s0:s1].sum())
@@ -317,37 +342,22 @@ class PackedMemoryArray:
             self.capacity > MIN_CAPACITY
             and self.n_items < self.bounds.lower(self.bounds.height) * self.capacity
         ):
-            self._resize(self.capacity // 2, extra_keys=None)
+            self._resize(self.capacity // 2)
         self._refresh_seg_min()
         return removed_total
 
     # ------------------------------------------------------------------
     # Rebalancing & resize
     # ------------------------------------------------------------------
-    def _rebalance_window(
-        self,
-        s0: int,
-        s1: int,
-        extra: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Redistribute all items in segments [s0, s1) evenly (plus ``extra``)."""
-        lo, hi = s0 * self.seg_size, s1 * self.seg_size
-        window_keys = self.keys[lo:hi]
-        mask = window_keys != SPACE_KEY
-        items_k = window_keys[mask]
-        items_v = self.values[lo:hi][mask]
-        if extra is not None and len(extra[0]):
-            items_k = np.concatenate([items_k, extra[0]])
-            items_v = np.concatenate([items_v, extra[1]])
-            order = np.argsort(items_k, kind="stable")
-            items_k, items_v = items_k[order], items_v[order]
-        self._write_even(s0, s1, items_k, items_v)
+    def _rebalance_window(self, s0: int, s1: int) -> None:
+        """Redistribute all items in segments [s0, s1) evenly."""
+        slots = self._prefix_slots(np.arange(s0, s1), self._counts[s0:s1])
+        self._write_even(s0, s1, self.keys[slots], self.values[slots])
 
     def _write_even(self, s0: int, s1: int, items_k: np.ndarray, items_v: np.ndarray) -> None:
         """Spread sorted items evenly over segments [s0, s1)."""
         w = s1 - s0
-        n = len(items_k)
-        base_count, rem = divmod(n, w)
+        base_count, rem = divmod(len(items_k), w)
         counts = np.full(w, base_count, dtype=np.int64)
         counts[:rem] += 1
         if counts.max(initial=0) > self.seg_size:
@@ -355,17 +365,12 @@ class PackedMemoryArray:
         lo, hi = s0 * self.seg_size, s1 * self.seg_size
         self.keys[lo:hi] = SPACE_KEY
         self.values[lo:hi] = -1
-        if n:
-            seg_ids = np.repeat(np.arange(w), counts)
-            starts = np.zeros(w, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            within = np.arange(n) - starts[seg_ids]
-            slots = lo + seg_ids * self.seg_size + within
-            self.keys[slots] = items_k
-            self.values[slots] = items_v
+        slots = self._prefix_slots(np.arange(s0, s1), counts)
+        self.keys[slots] = items_k
+        self.values[slots] = items_v
         self._counts[s0:s1] = counts
 
-    def _resize(self, new_capacity: int, extra_keys: None) -> None:
+    def _resize(self, new_capacity: int) -> None:
         items_k, items_v = self.export_items()
         new_capacity = max(MIN_CAPACITY, new_capacity)
         self._alloc_arrays(new_capacity)
@@ -376,26 +381,40 @@ class PackedMemoryArray:
     # Invariant checking (used heavily by tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Raise AssertionError if any structural invariant is violated."""
+        """Raise AssertionError if any structural invariant is violated.
+
+        Segment properties are checked for all segments at once; the
+        message names the first violating segment and, within it, the
+        first violated property in the order listed below.
+        """
         assert self.capacity == self.num_segments * self.seg_size
-        total = 0
-        prev_last: int | None = None
-        for seg in range(self.num_segments):
-            base = seg * self.seg_size
-            count = int(self._counts[seg])
-            assert 0 <= count <= self.seg_size, f"segment {seg} count {count} out of range"
-            prefix = self.keys[base : base + count]
-            tail = self.keys[base + count : base + self.seg_size]
-            assert np.all(prefix != SPACE_KEY), f"SPACE inside prefix of segment {seg}"
-            assert np.all(tail == SPACE_KEY), f"valid key in gap of segment {seg}"
-            if count > 1:
-                assert np.all(np.diff(prefix) > 0), f"segment {seg} prefix not strictly sorted"
-            if count > 0:
-                if prev_last is not None:
-                    assert prev_last < int(prefix[0]), f"global order broken at segment {seg}"
-                prev_last = int(prefix[-1])
-            total += count
+        counts = self._counts
+        grid = self.keys.reshape(self.num_segments, self.seg_size)
+        filled = np.arange(self.seg_size) < counts[:, None]
+        valid = grid != SPACE_KEY
+        unsorted = (filled[:, 1:] & (grid[:, 1:] <= grid[:, :-1])).any(axis=1)
+        # Global order: each non-empty segment's first key exceeds the last
+        # key of the previous non-empty one.
+        nonempty = np.flatnonzero(filled[:, 0])
+        lasts = grid[nonempty, np.minimum(counts[nonempty], self.seg_size) - 1]
+        order_broken = np.zeros(self.num_segments, dtype=bool)
+        order_broken[nonempty[1:]] = lasts[:-1] >= grid[nonempty[1:], 0]
+        violations = (
+            ((counts < 0) | (counts > self.seg_size), "segment {seg} count {count} out of range"),
+            ((filled & ~valid).any(axis=1), "SPACE inside prefix of segment {seg}"),
+            ((~filled & valid).any(axis=1), "valid key in gap of segment {seg}"),
+            (unsorted, "segment {seg} prefix not strictly sorted"),
+            (order_broken, "global order broken at segment {seg}"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in violations])
+        if bad.any():
+            seg = int(np.argmax(bad))
+            for mask, message in violations:
+                assert not mask[seg], message.format(seg=seg, count=int(counts[seg]))
+        total = int(counts.sum())
         assert total == self.n_items, f"n_items {self.n_items} != stored {total}"
+        stale = self._seg_min != self._expected_seg_min()
+        assert not stale.any(), f"_seg_min stale at segment {int(np.argmax(stale))}"
 
     def __len__(self) -> int:
         return self.n_items

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.dataset import gnp_edges, powerlaw_edges, smooth_signal, temporal_edge_stream
 
@@ -31,6 +32,50 @@ def test_gnp_near_complete():
     n = 12
     src, dst = gnp_edges(n, n * (n - 1), seed=3)
     assert len(src) == n * (n - 1)
+
+
+def test_gnp_rejects_more_edges_than_simple_graph_holds():
+    with pytest.raises(ValueError, match="exceed"):
+        gnp_edges(12, 12 * 11 + 1, seed=3)
+    with pytest.raises(ValueError):
+        gnp_edges(1, 1, seed=3)
+
+
+def _frozen_gnp_edges(num_nodes, num_edges, seed):
+    """The original generator: re-dedupes the whole accumulation per round."""
+
+    def dedupe(src, dst):
+        keys = src.astype(np.int64) * (dst.max(initial=0) + np.int64(1) + src.max(initial=0)) + dst
+        _, idx = np.unique(keys, return_index=True)
+        idx.sort()
+        return src[idx], dst[idx]
+
+    rng = np.random.default_rng(seed)
+    src_parts, dst_parts, have = [], [], 0
+    while have < num_edges:
+        want = int((num_edges - have) * 1.3) + 16
+        s = rng.integers(0, num_nodes, want)
+        d = rng.integers(0, num_nodes, want)
+        keep = s != d
+        src_parts.append(s[keep])
+        dst_parts.append(d[keep])
+        s_all, d_all = dedupe(np.concatenate(src_parts), np.concatenate(dst_parts))
+        src_parts, dst_parts = [s_all], [d_all]
+        have = len(s_all)
+    return src_parts[0][:num_edges], dst_parts[0][:num_edges]
+
+
+@pytest.mark.parametrize(
+    "num_nodes,num_edges,seed",
+    [(12, 132, 3), (15, 210, 105), (20, 102, 103), (40, 1560, 9), (319, 20000, 102), (675, 690, 104)],
+)
+def test_gnp_matches_frozen_original(num_nodes, num_edges, seed):
+    """Incremental dedupe draws the same stream and keeps the same edges,
+    complete graphs included."""
+    got = gnp_edges(num_nodes, num_edges, seed)
+    want = _frozen_gnp_edges(num_nodes, num_edges, seed)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_powerlaw_heavy_tail():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,62 @@ def test_pma_memory_is_tracked(fresh_device):
     tags = fresh_device.tracker.live_by_tag()
     assert any(t.startswith("pma.") for t in tags)
     del pma
+
+
+# ---------------------------------------------------------------------------
+# check_invariants catches each corruption, naming the first bad segment
+# ---------------------------------------------------------------------------
+def _corruptible():
+    """A PMA plus the second segment holding at least two items (and a gap)."""
+    pma = PackedMemoryArray()
+    pma.insert_batch(np.arange(0, 600, 3), np.arange(200))
+    pma.check_invariants()
+    segs = np.flatnonzero((pma.segment_counts() > 1) & (pma.segment_counts() < pma.seg_size))
+    return pma, int(segs[1])
+
+
+def _prev_last(pma, seg):
+    prev = int(np.flatnonzero(pma.segment_counts()[:seg])[-1])
+    return pma.keys[prev * pma.seg_size + pma.segment_counts()[prev] - 1]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda p, s: p._counts.__setitem__(s, p.seg_size + 1), "segment {s} count {c} out of range"),
+        (lambda p, s: p._counts.__setitem__(s, -1), "segment {s} count -1 out of range"),
+        (lambda p, s: p.keys.__setitem__(s * p.seg_size, SPACE_KEY), "SPACE inside prefix of segment {s}"),
+        (
+            lambda p, s: p.keys.__setitem__(s * p.seg_size + p.seg_size - 1, 10**6),
+            "valid key in gap of segment {s}",
+        ),
+        (
+            lambda p, s: p.keys.__setitem__(s * p.seg_size + 1, p.keys[s * p.seg_size]),
+            "segment {s} prefix not strictly sorted",
+        ),
+        (
+            lambda p, s: p.keys.__setitem__(s * p.seg_size, _prev_last(p, s)),
+            "global order broken at segment {s}",
+        ),
+        (lambda p, s: setattr(p, "n_items", p.n_items - 1), "n_items 199 != stored 200"),
+        (lambda p, s: p._seg_min.__setitem__(s, p._seg_min[s] + 1), "_seg_min stale at segment {s}"),
+    ],
+    ids=["count-high", "count-negative", "space-in-prefix", "key-in-gap", "unsorted", "global-order", "n-items", "seg-min"],
+)
+def test_check_invariants_detects_corruption(corrupt, message):
+    pma, seg = _corruptible()
+    corrupt(pma, seg)
+    expected = message.format(s=seg, c=pma.seg_size + 1)
+    with pytest.raises(AssertionError, match=f"^{re.escape(expected)}$"):
+        pma.check_invariants()
+
+
+def test_check_invariants_names_first_violating_segment():
+    pma, seg = _corruptible()
+    later = int(np.flatnonzero(pma.segment_counts() > 1)[-1])
+    assert later > seg
+    pma.keys[later * pma.seg_size] = SPACE_KEY
+    base = seg * pma.seg_size
+    pma.keys[base], pma.keys[base + 1] = pma.keys[base + 1], pma.keys[base]
+    with pytest.raises(AssertionError, match=f"^segment {seg} prefix not strictly sorted$"):
+        pma.check_invariants()
