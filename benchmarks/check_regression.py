@@ -51,8 +51,8 @@ def _row_key(row: dict) -> str:
 def extract_metrics(payload: dict) -> dict[str, float]:
     """Flatten one nightly payload into ``{metric_name: seconds}``.
 
-    Covers per-row ``epoch_s``, the ``micro`` medians, the pipeline/
-    compiled ablation timings, and the serving-ablation p50/p99 latencies —
+    Covers per-row ``epoch_s``, the ``micro`` medians, the pipeline
+    ablation timings, and the serving-ablation p50/p99 latencies —
     every field the nightly diff treats as a timing.  Counters and losses
     are deliberately excluded: correctness is gated elsewhere (the
     differential tests), this detector is time-only.
@@ -68,10 +68,6 @@ def extract_metrics(payload: dict) -> dict[str, float]:
         for f in ("epoch_s", "prefetch_wait_s"):
             if isinstance(row.get(f), (int, float)):
                 out[f"pipeline_ablation[pipeline={row.get('pipeline')}].{f}"] = float(row[f])
-    for row in payload.get("compiled_ablation", []):
-        for f in ("epoch_s", "compile_s"):
-            if isinstance(row.get(f), (int, float)):
-                out[f"compiled_ablation[engine={row.get('engine')}].{f}"] = float(row[f])
     for row in payload.get("serving_ablation", []):
         for f in ("p50_ms", "p99_ms"):
             if isinstance(row.get(f), (int, float)):

@@ -123,43 +123,6 @@ def _pipeline_ablation() -> tuple[list[dict], str]:
     return rows, format_table(rows, title="Pipeline ablation (GPMA, staleness 0 vs 2)")
 
 
-def _compiled_ablation() -> tuple[list[dict], str]:
-    """Engine ablation: the same GPMA training cell kernel vs compiled.
-
-    Losses must be identical (the engine-axis differential tests gate
-    that); what the ablation tracks nightly is the wall-clock delta, the
-    one-time driver compile cost, and the cross-timestamp fusion hit rate.
-    The backend column records which toolchain actually ran ("numba",
-    "c", or "fallback" when the compiled engine delegated to kernel).
-    """
-    from repro.bench import run_dynamic_experiment
-    from repro.bench.report import format_table
-    from repro.compiler.native import native_backend
-    from repro.dataset import load_sx_mathoverflow
-
-    backend = native_backend()
-    rows = []
-    for engine in ("kernel", "compiled"):
-        r = run_dynamic_experiment(
-            "gpma", load_sx_mathoverflow,
-            scale=0.02, feature_size=16, max_snapshots=12,
-            sequence_length=4, epochs=3, warmup=1,
-            engine=engine,
-        )
-        fh, fm = r.compiled_fusion_hits, r.compiled_fusion_misses
-        rows.append({
-            "engine": engine,
-            "backend": (backend or "fallback") if engine == "compiled" else "-",
-            "epoch_s": round(r.per_epoch_seconds, 5),
-            "loss": round(r.final_loss, 6),
-            "compile_s": round(r.compile_seconds, 5),
-            "fusion_hits": fh,
-            "fusion_misses": fm,
-            "fusion_hit_%": round(100 * fh / (fh + fm), 1) if fh + fm else 0.0,
-        })
-    return rows, format_table(rows, title="Compiled-tier ablation (GPMA, kernel vs compiled engine)")
-
-
 def _serving_ablation() -> tuple[list[dict], str]:
     """Serving ablation: request coalescing and k-hop invalidation on/off.
 
@@ -260,10 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     print(pipe_table, "\n")
     sections.append(("Pipeline ablation", pipe_table))
 
-    compiled_rows, compiled_table = _compiled_ablation()
-    print(compiled_table, "\n")
-    sections.append(("Compiled-tier ablation", compiled_table))
-
     serving_rows, serving_table = _serving_ablation()
     print(serving_table, "\n")
     sections.append(("Serving ablation", serving_table))
@@ -284,7 +243,6 @@ def main(argv: list[str] | None = None) -> int:
             "micro": _micro_medians(),
             "reuse_counters": _nightly_reuse_counters(),
             "pipeline_ablation": pipeline_rows,
-            "compiled_ablation": compiled_rows,
             "serving_ablation": serving_rows,
         }
         args.json.write_text(json.dumps(payload, indent=2))

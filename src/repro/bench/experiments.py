@@ -10,10 +10,6 @@ regenerates EXPERIMENTS.md with whatever scale the environment requests:
 * ``REPRO_BENCH_PIPELINE``      (default 0; prefetch staleness for the
   GPMA cells of the DTDG figures — numerics are unchanged, only wall
   clock and the prefetch counters move)
-* ``REPRO_BENCH_ENGINE``        (default unset; execution engine for the
-  STGraph cells — "kernel", "interpreter", or "compiled".  Engines are
-  bitwise-identical, so again only wall clock moves; ``repro bench
-  --engine compiled`` sets this)
 
 Scales multiply Table II's node/edge counts; the paper's qualitative
 claims (orderings, crossovers, slopes) are stable across scales — the
@@ -35,7 +31,6 @@ __all__ = [
     "dynamic_scale",
     "bench_epochs",
     "bench_pipeline",
-    "bench_engine",
     "table1_capabilities",
     "table2_datasets",
     "fig5_static_time",
@@ -65,12 +60,6 @@ def bench_epochs() -> int:
 def bench_pipeline() -> int:
     """Prefetch staleness for GPMA cells from REPRO_BENCH_PIPELINE (default 0)."""
     return int(os.environ.get("REPRO_BENCH_PIPELINE", "0"))
-
-
-def bench_engine() -> str | None:
-    """Execution engine for STGraph cells from REPRO_BENCH_ENGINE (default None)."""
-    name = os.environ.get("REPRO_BENCH_ENGINE", "").strip()
-    return name or None
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +119,6 @@ def fig5_static_time(
                 r = run_static_experiment(
                     system, loader, feature_size=fs, scale=scale,
                     num_timestamps=num_timestamps, epochs=epochs,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((fs, r.per_epoch_seconds))
@@ -162,7 +150,6 @@ def fig6_static_memory(
                 r = run_static_experiment(
                     system, loader, feature_size=8, scale=scale,
                     num_timestamps=num_timestamps, sequence_length=seq, epochs=epochs,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((seq, r.peak_memory_bytes / 1e6))
@@ -198,7 +185,6 @@ def fig7_dtdg_time(
                     system, loader, feature_size=fs, percent_change=percent_change,
                     scale=scale, epochs=epochs,
                     pipeline=bench_pipeline() if system == "gpma" else 0,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((fs, r.per_epoch_seconds))
@@ -232,7 +218,6 @@ def fig8_dtdg_memory(
                 r = run_dynamic_experiment(
                     system, loader, feature_size=feature_size, percent_change=pct,
                     scale=scale, epochs=epochs, max_snapshots=None,
-                    engine=bench_engine(),
                 )
                 results.append(r)
                 series[label].append((pct, r.peak_memory_bytes / 1e6))
@@ -267,7 +252,6 @@ def fig9_time_breakup(
             r = run_dynamic_experiment(
                 "gpma", loader, feature_size=fs, scale=scale, epochs=epochs,
                 pipeline=bench_pipeline(),
-                engine=bench_engine(),
                 tracer=Tracer(name=f"fig9:{name}:F{fs}", keep_events=False),
             )
             results.append(r)

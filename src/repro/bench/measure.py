@@ -54,13 +54,6 @@ class RunResult:
     prefetch_hits: int = 0
     prefetch_misses: int = 0
     prefetch_wait_seconds: float = 0.0
-    # Execution-engine ablation: empty string = the executor default
-    # (kernel).  The fusion counters move only under the compiled tier —
-    # cross-timestamp reuse of the packed native graph (see
-    # ``repro.compiler.native``).
-    engine: str = ""
-    compiled_fusion_hits: int = 0
-    compiled_fusion_misses: int = 0
     #: per-category span self-seconds (``Tracer.aggregate_by_cat``) when the
     #: run executed under a tracer; empty otherwise.
     span_seconds: dict = field(default_factory=dict)
@@ -123,13 +116,8 @@ class RunResult:
         return served / denom if denom > 0 else 0.0
 
     def row(self) -> dict:
-        """Flat JSON-friendly dict for tables and CI tracking.
-
-        Engine/fusion keys appear only for runs with an explicit engine
-        selection, so default-engine rows keep their historical key set
-        (the nightly differ compares rows key-by-key).
-        """
-        row = {
+        """Flat JSON-friendly dict for tables and CI tracking."""
+        return {
             "system": self.system,
             "dataset": self.dataset,
             **self.params,
@@ -146,11 +134,6 @@ class RunResult:
             "prefetch_misses": self.prefetch_misses,
             "prefetch_wait_s": round(self.prefetch_wait_seconds, 5),
         }
-        if self.engine:
-            row["engine"] = self.engine
-            row["fusion_hits"] = self.compiled_fusion_hits
-            row["fusion_misses"] = self.compiled_fusion_misses
-        return row
 
 
 def _reuse_counters(device: Device) -> dict:
@@ -165,8 +148,6 @@ def _reuse_counters(device: Device) -> dict:
         "prefetch_hits": p.counter("prefetch_hits"),
         "prefetch_misses": p.counter("prefetch_misses"),
         "prefetch_wait_seconds": p.seconds("prefetch_wait"),
-        "compiled_fusion_hits": p.counter("compiled_fusion_hits"),
-        "compiled_fusion_misses": p.counter("compiled_fusion_misses"),
     }
 
 
@@ -183,15 +164,11 @@ def run_static_experiment(
     weight_seed: int = 42,
     sort_by_degree: bool = True,
     tracer: Tracer | None = None,
-    engine: str | None = None,
 ) -> RunResult:
     """One cell of Figure 5/6: ``system`` ∈ {"stgraph", "pygt"}.
 
     Passing ``tracer`` runs the whole training under it and fills
     :attr:`RunResult.span_seconds` with its per-category self-time aggregate.
-    ``engine`` selects the STGraph execution engine ("kernel",
-    "interpreter", "compiled"); ignored for the PyG-T baseline.  All
-    engines are bitwise-identical, so only wall clock moves.
     """
     from repro.train.models import PyGTNodeRegressor, STGraphNodeRegressor
     from repro.train.trainer import BaselineTrainer, STGraphTrainer
@@ -210,9 +187,7 @@ def run_static_experiment(
         if system == "stgraph":
             model = STGraphNodeRegressor(feature_size, hidden)
             graph = ds.build_graph(sort_by_degree=sort_by_degree)
-            trainer = STGraphTrainer(
-                model, graph, sequence_length=sequence_length, engine=engine
-            )
+            trainer = STGraphTrainer(model, graph, sequence_length=sequence_length)
         else:
             model = PyGTNodeRegressor(feature_size, hidden)
             signal = ds.to_pygt_signal()
@@ -223,7 +198,6 @@ def run_static_experiment(
             system=system,
             dataset=ds.name,
             params={"F": feature_size, "seq": sequence_length or num_timestamps},
-            engine=engine or "" if system == "stgraph" else "",
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,
             final_loss=losses[-1],
@@ -253,7 +227,6 @@ def run_dynamic_experiment(
     csr_cache: bool = True,
     pipeline: int = 0,
     tracer: Tracer | None = None,
-    engine: str | None = None,
 ) -> RunResult:
     """One cell of Figure 7/8/9: ``system`` ∈ {"naive", "gpma", "pygt"}.
 
@@ -261,8 +234,7 @@ def run_dynamic_experiment(
     :attr:`RunResult.span_seconds` with its per-category self-time aggregate.
     ``pipeline`` is the prefetch staleness bound (STGraph systems only;
     numerics are unchanged — only the wall-clock and the prefetch counters
-    move).  ``engine`` selects the STGraph execution engine ("kernel",
-    "interpreter", "compiled"); ignored for the PyG-T baseline.
+    move).
     """
     from repro.train.models import PyGTLinkPredictor, STGraphLinkPredictor
     from repro.train.tasks import make_link_prediction_samples
@@ -312,7 +284,6 @@ def run_dynamic_experiment(
                 task="link_prediction",
                 link_samples=samples,
                 pipeline=pipeline,
-                engine=engine,
             )
         with use_tracer(tracer):
             losses = trainer.train(ds.features, targets=None, epochs=epochs, warmup=warmup)
@@ -321,7 +292,6 @@ def run_dynamic_experiment(
             dataset=ds.name,
             params={"F": feature_size, "pct": percent_change},
             pipeline=int(pipeline) if system != "pygt" else 0,
-            engine=engine or "" if system != "pygt" else "",
             per_epoch_seconds=trainer.mean_epoch_time,
             peak_memory_bytes=device.tracker.peak_bytes,
             final_loss=losses[-1],

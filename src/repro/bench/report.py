@@ -122,18 +122,12 @@ def fig9_rows(results: Sequence) -> list[dict]:
     ``RunResult.time_split()``, i.e. the tracer's per-category span
     self-time aggregate for traced runs — rather than a second,
     separately-maintained summation of profiler phases.
-
-    When any run carries an explicit execution-engine selection the rows
-    gain an ``engine`` column (plus the compiled tier's fusion hit rate),
-    so engine-ablation tables stay self-describing while default runs
-    keep the historical column set.
     """
-    with_engine = any(getattr(r, "engine", "") for r in results)
     rows = []
     for r in results:
         gnn, upd = r.time_split()
         total = gnn + upd
-        row: dict = {
+        rows.append({
             "dataset": r.dataset,
             "F": r.params.get("F", ""),
             "gnn_%": round(100 * gnn / total, 1) if total > 0 else 0.0,
@@ -153,13 +147,7 @@ def fig9_rows(results: Sequence) -> list[dict]:
             "pipeline": getattr(r, "pipeline", 0),
             "prefetch_%": round(100 * getattr(r, "prefetch_hit_rate", 0.0), 1),
             "prefetch_wait_s": round(getattr(r, "prefetch_wait_seconds", 0.0), 5),
-        }
-        if with_engine:
-            row["engine"] = getattr(r, "engine", "") or "kernel"
-            fh = getattr(r, "compiled_fusion_hits", 0)
-            fm = getattr(r, "compiled_fusion_misses", 0)
-            row["fusion_%"] = round(100 * fh / (fh + fm), 1) if fh + fm else 0.0
-        rows.append(row)
+        })
     return rows
 
 

@@ -12,9 +12,9 @@ Commands
     timing, and memory.  ``--system pygt`` runs the baseline instead.
     ``--checkpoint runs/ck.npz`` checkpoints atomically at every sequence
     boundary; adding ``--resume`` restores from the checkpoint and
-    continues to bitwise-identical final losses.  ``--engine compiled``
-    runs every aggregation on the machine-code tier (``docs/COMPILER.md``
-    §10); engines never change the numbers, only the speed.
+    continues to bitwise-identical final losses.  ``--engine interpreter``
+    runs every vertex program on the tensor-IR interpreter instead of the
+    generated kernels; engines never change the numbers, only the speed.
 ``chaos --plan smoke``
     Train a small DTDG workload under a named (or JSON) fault plan with
     kill/resume through boundary checkpoints, and verify the resilience
@@ -145,7 +145,7 @@ def _trace_base(trace_path: str) -> str:
 
 
 def _resolve_engine(name: str | None) -> str | None:
-    """Validate an ``--engine`` value early: a typo (``--engine copiled``)
+    """Validate an ``--engine`` value early: a typo (``--engine kernl``)
     exits non-zero with the registry's available-engines message instead of
     surfacing a traceback mid-run."""
     if name is None:
@@ -399,9 +399,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if getattr(args, "pipeline", None) is not None:
         os.environ["REPRO_BENCH_PIPELINE"] = str(int(args.pipeline))
-    engine = _resolve_engine(getattr(args, "engine", None))
-    if engine is not None:
-        os.environ["REPRO_BENCH_ENGINE"] = engine
     trace_path = getattr(args, "trace", None)
     tracer = Tracer(name=f"bench:{args.experiment}") if trace_path else None
     start = time.perf_counter()
@@ -731,8 +728,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="prefetch staleness: build up to K future snapshots on a "
                               "worker thread (0 = strictly serial; numerics unchanged)")
     p_train.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine override (kernel, interpreter, compiled); "
-                              "all engines are bitwise-identical — this is a speed knob")
+                         help="execution engine override (kernel, interpreter); both are "
+                              "bitwise-identical — interpreter is the differential oracle")
     p_train.add_argument("--resume", action="store_true",
                          help="resume from --checkpoint if it exists (bitwise-identical losses)")
     p_train.add_argument("--telemetry-port", type=int, default=None, metavar="PORT",
@@ -754,8 +751,8 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--workdir", default=None,
                          help="directory for the chaos checkpoint (default: a fresh temp dir)")
     p_chaos.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine for the chaos run (e.g. compiled exercises "
-                              "the compiled → kernel → interpreter degradation ladder)")
+                         help="execution engine for the chaos run (kernel exercises the "
+                              "kernel → interpreter degradation ladder)")
     p_chaos.add_argument("--json", metavar="OUT.json", default=None,
                          help="write the full ChaosReport (manifest inlined) as JSON")
     p_chaos.add_argument("--trace", metavar="OUT.json", default=None,
@@ -770,9 +767,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--pipeline", type=int, default=None, metavar="K",
                          help="prefetch staleness for GPMA cells (overrides "
                               "REPRO_BENCH_PIPELINE for this invocation)")
-    p_bench.add_argument("--engine", default=None, metavar="NAME",
-                         help="execution engine for STGraph cells (sets REPRO_BENCH_ENGINE "
-                              "for this invocation)")
     p_bench.add_argument("--trace", metavar="OUT.json", default=None,
                          help="trace the experiment; writes the same artifact set as train --trace")
 

@@ -61,7 +61,6 @@ __all__ = [
     "PlanCache",
     "plan_cache",
     "plan_key",
-    "register_plan_build_hook",
 ]
 
 
@@ -299,40 +298,6 @@ def _emit_lint_warnings(lint: LintReport) -> None:
         )
 
 
-#: observers invoked (inside the build's ``"compile"`` profiler phase) for
-#: every freshly built plan — the compiled engine registers its ahead-of-use
-#: driver compilation here, so "compile at plan-build time" holds even for
-#: plans built before the engine is ever selected (hooks replay over cached
-#: plans on registration).
-_PLAN_BUILD_HOOKS: list[Callable[[ProgramPlan], None]] = []
-
-
-def register_plan_build_hook(hook: Callable[[ProgramPlan], None], replay: bool = True) -> None:
-    """Subscribe ``hook`` to every plan build (idempotent per callable).
-
-    With ``replay`` (default) the hook also runs over every already-cached
-    plan, so late registration — e.g. the compiled engine instantiated after
-    the model compiled — still precompiles the full working set.  Hook
-    failures never poison plan builds for unrelated engines: they are
-    swallowed here (counted as ``plan_hook_errors`` on the device profiler)
-    and resurface loudly when the subscribing engine actually runs the plan.
-    """
-    if hook in _PLAN_BUILD_HOOKS:
-        return
-    _PLAN_BUILD_HOOKS.append(hook)
-    if replay:
-        for plan in plan_cache().plans():
-            _run_plan_hooks(plan, hooks=[hook])
-
-
-def _run_plan_hooks(plan: ProgramPlan, hooks: list[Callable[[ProgramPlan], None]] | None = None) -> None:
-    for hook in list(_PLAN_BUILD_HOOKS) if hooks is None else hooks:
-        try:
-            hook(plan)
-        except Exception:
-            current_device().profiler.count("plan_hook_errors")
-
-
 class PlanCache:
     """Process-wide memo of :class:`ProgramPlan` objects with hit/miss counters.
 
@@ -392,10 +357,6 @@ class PlanCache:
                     dtype,
                     graph_class,
                 )
-                # Build-time observers (e.g. the compiled engine's native
-                # driver compilation) run inside the compile phase so their
-                # cost lands in the fig9 `compile_%` column with the rest.
-                _run_plan_hooks(plan)
             self._plans[key] = plan
             return plan
 

@@ -18,7 +18,6 @@
 from repro.core.stacks import GraphStack, StateStack, StackEntry
 from repro.core.prefetch import PrefetchScheduler
 from repro.core.engine import (
-    CompiledEngine,
     ExecutionEngine,
     InterpreterEngine,
     KernelEngine,
@@ -40,7 +39,6 @@ __all__ = [
     "ExecutionEngine",
     "KernelEngine",
     "InterpreterEngine",
-    "CompiledEngine",
     "get_engine",
     "register_engine",
     "available_engines",

@@ -3,7 +3,7 @@
 The compile-time half (:mod:`repro.compiler.plan`) produces an immutable
 :class:`~repro.compiler.plan.ProgramPlan`; an :class:`ExecutionEngine` is
 the run-time policy that executes one against a
-:class:`~repro.compiler.runtime.GraphContext`.  Three implementations ship:
+:class:`~repro.compiler.runtime.GraphContext`.  Two implementations ship:
 
 * :class:`KernelEngine` — launches the plan's generated kernels through the
   device's :class:`~repro.device.kernel.KernelLauncher` (fused single-launch
@@ -15,13 +15,6 @@ the run-time policy that executes one against a
   to the kernel engine's — which makes engine selection per plan the
   differential-testing switch: run any model under ``engine="interpreter"``
   and compare.
-* :class:`CompiledEngine` — the machine-code tier: per-plan drivers routing
-  CSR aggregation through the native kernels of
-  :mod:`repro.compiler.native` (numba- or cc/cffi-compiled, see
-  ``docs/COMPILER.md`` §10), compiled ahead of use at plan-build time and
-  memoized process-wide by the plan content hash.  Bitwise-identical to the
-  other two by construction; transparently delegates to
-  :class:`KernelEngine` when no native toolchain exists.
 
 Engines are stateless and registered through the same Factory pattern as
 deep-learning backends (:mod:`repro.core.backend`): ``get_engine("kernel")``.
@@ -33,12 +26,10 @@ conflict — a different factory for a taken name — raises.
 from __future__ import annotations
 
 import abc
-import contextlib
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.sanitizer import new_lock
 from repro.compiler.interp import trace_execution
 from repro.compiler.plan import ProgramPlan
 from repro.compiler.tir import IMPLICIT_ONES
@@ -49,7 +40,6 @@ __all__ = [
     "ExecutionEngine",
     "KernelEngine",
     "InterpreterEngine",
-    "CompiledEngine",
     "register_engine",
     "get_engine",
     "available_engines",
@@ -163,107 +153,6 @@ class InterpreterEngine(ExecutionEngine):
         return {inp: env[g] for inp, g in plan.grad_map.items()}
 
 
-class CompiledEngine(ExecutionEngine):
-    """The machine-code tier: native CSR kernels behind generated drivers.
-
-    For each plan the engine generates a pair of *compiled drivers*
-    (:func:`~repro.compiler.codegen.generate_compiled_forward_source` /
-    ``..._backward_source``): the familiar fused driver shape, but with the
-    CSR aggregation ops routed through the native ``nat_*`` primitives of
-    :mod:`repro.compiler.native` and the structural arrays served by the
-    cross-timestamp fusion cache (``native_graph``).  Drivers are memoized
-    process-wide by the plan's content hash, compiled *at plan-build time*
-    via the plan cache's build hook (late engine construction replays over
-    already-cached plans), and always launched through the device's
-    :class:`~repro.device.kernel.KernelLauncher` — so tracer spans, launch
-    accounting, and fault injection see compiled launches exactly like
-    kernel-engine launches.  Compilation cost lands in the profiler's
-    ``"compile"`` phase (the fig9 ``compile_%`` column).
-
-    The engine always emits its own fused driver pair, independent of the
-    plan's ``fused`` flag: op order is identical either way, so outputs
-    remain bitwise-equal to both sibling engines even for unfused plans.
-
-    Without a native toolchain (no numba, no working cc — see
-    :func:`~repro.compiler.native.native_backend`) every call transparently
-    delegates to :class:`KernelEngine`; selecting ``engine="compiled"`` is
-    then a documented no-op rather than an error.
-    """
-
-    name = "compiled"
-
-    def __init__(self) -> None:
-        from repro.compiler.native import native_backend
-
-        self.backend = native_backend()  # "numba" | "c" | None
-        self._drivers: dict[str, tuple] = {}
-        self._lock = new_lock("CompiledEngine._lock")
-        if self.backend is not None:
-            from repro.compiler.plan import register_plan_build_hook
-
-            register_plan_build_hook(self._precompile)
-
-    # ------------------------------------------------------------------
-    def _precompile(self, plan: ProgramPlan) -> None:
-        """Plan-build hook: compile this plan's drivers ahead of first use."""
-        self._drivers_for(plan)
-
-    def _drivers_for(self, plan: ProgramPlan):
-        pair = self._drivers.get(plan.plan_id)
-        if pair is not None:
-            return pair
-        from repro.compiler.codegen import (
-            compile_native_program,
-            generate_compiled_backward_source,
-            generate_compiled_forward_source,
-        )
-
-        with self._lock:
-            pair = self._drivers.get(plan.plan_id)
-            if pair is not None:
-                return pair
-            meta = {"tier": "native", "backend": self.backend}
-            # When invoked as a plan-build hook this already runs inside the
-            # PlanCache's "compile" phase — reuse it rather than stacking a
-            # second interval (one plan build must count as one compile).
-            profiler = current_device().profiler
-            timed = (
-                contextlib.nullcontext()
-                if profiler.in_phase("compile")
-                else profiler.phase("compile")
-            )
-            with timed:
-                fwd_entry = f"{plan.plan_id}_cfwd"
-                fwd_src = generate_compiled_forward_source(
-                    plan.fwd_prog, list(plan.saved_spec), fwd_entry
-                )
-                fwd = compile_native_program(fwd_src, fwd_entry, meta=dict(meta))
-                bwd_entry = f"{plan.plan_id}_cbwd"
-                bwd_src = generate_compiled_backward_source(
-                    plan.bwd_prog, dict(plan.grad_map), bwd_entry
-                )
-                bwd = compile_native_program(bwd_src, bwd_entry, meta=dict(meta))
-            pair = (fwd, bwd)
-            self._drivers[plan.plan_id] = pair
-            return pair
-
-    # ------------------------------------------------------------------
-    def forward(self, plan, ctx, env):
-        """Launch the compiled forward driver (kernel engine without a toolchain)."""
-        if self.backend is None:
-            return get_engine("kernel").forward(plan, ctx, env)
-        fwd, _ = self._drivers_for(plan)
-        fwd.meta["launch_config"] = _launch_config(ctx, env)
-        return current_device().launcher.launch(fwd, ctx, env)
-
-    def backward(self, plan, ctx, g_out, saved):
-        """Launch the compiled backward driver (kernel engine without a toolchain)."""
-        if self.backend is None:
-            return get_engine("kernel").backward(plan, ctx, g_out, saved)
-        _, bwd = self._drivers_for(plan)
-        return current_device().launcher.launch(bwd, ctx, g_out, saved)
-
-
 _REGISTRY: dict[str, Callable[[], ExecutionEngine]] = {}
 _INSTANCES: dict[str, ExecutionEngine] = {}
 
@@ -304,7 +193,7 @@ def get_engine(name: str | ExecutionEngine = "kernel") -> ExecutionEngine:
     """Instantiate (once) and return the named engine; instances pass through.
 
     Unknown names raise a ``KeyError`` that lists :func:`available_engines`,
-    so a typo like ``--engine copiled`` tells the user what *is* available
+    so a typo like ``--engine kernl`` tells the user what *is* available
     (the CLI turns this into a clean non-zero exit, not a traceback).
     """
     if isinstance(name, ExecutionEngine):
@@ -326,4 +215,3 @@ def available_engines() -> list[str]:
 
 register_engine("kernel", KernelEngine)
 register_engine("interpreter", InterpreterEngine)
-register_engine("compiled", CompiledEngine)

@@ -86,16 +86,12 @@ class KernelLauncher:
         self.launch_seconds = 0.0
         self.compile_count = 0
         self.source_dedup_hits = 0
-        #: launches per execution tier ("python" for the regular generated
-        #: kernels, "native" for compiled-engine drivers, per kernel meta) —
-        #: lets benchmarks verify which tier actually ran.
-        self.launches_by_tier: dict[str, int] = {}
         #: optional :class:`~repro.obs.metrics.MetricRegistry` (the owning
         #: device's) receiving per-launch latency into the
-        #: ``repro_kernel_launch_seconds{tier=...}`` histogram; children
-        #: are cached per tier so the hot path pays one dict lookup.
+        #: ``repro_kernel_launch_seconds{tier="python"}`` histogram; the
+        #: labelled child is resolved once, on the first recorded launch.
         self._metrics = metrics
-        self._launch_hist: dict[str, Any] = {}
+        self._launch_hist: Any | None = None
 
     def get(self, key: Any) -> CompiledKernel | None:
         """Cached kernel for ``key``, or None."""
@@ -146,26 +142,22 @@ class KernelLauncher:
         injector = current_injector()
         if injector.enabled:
             injector.fire("kernel")
-        tier = kernel.meta.get("tier", "python")
         start = time.perf_counter()
         try:
-            with current_tracer().span(kernel.name, "gnn", tier=tier):
+            with current_tracer().span(kernel.name, "gnn", tier="python"):
                 return kernel(*args, **kwargs)
         finally:
             elapsed = time.perf_counter() - start
             self.launch_seconds += elapsed
             self.launch_count += 1
-            self.launches_by_tier[tier] = self.launches_by_tier.get(tier, 0) + 1
             metrics = self._metrics
             if metrics is not None and metrics.enabled:
-                hist = self._launch_hist.get(tier)
-                if hist is None:
-                    hist = metrics.histogram(
+                if self._launch_hist is None:
+                    self._launch_hist = metrics.histogram(
                         "repro_kernel_launch_seconds",
                         "Per-launch kernel wall time by execution tier.",
-                    ).labels(tier=tier)
-                    self._launch_hist[tier] = hist
-                hist.observe(elapsed)
+                    ).labels(tier="python")
+                self._launch_hist.observe(elapsed)
 
     def clear(self) -> None:
         """Drop the caches and reset launch/compile counters."""
@@ -175,7 +167,6 @@ class KernelLauncher:
         self.launch_seconds = 0.0
         self.compile_count = 0
         self.source_dedup_hits = 0
-        self.launches_by_tier.clear()
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -38,11 +38,9 @@ __all__ = ["PHASES", "COUNTERS", "PhaseTimer", "Profiler"]
 PHASES = ("compile", "gnn", "graph_update", "preprocess", "prefetch", "prefetch_wait")
 
 #: The event counters the framework itself reports: snapshot/context reuse,
-#: pipelined-prefetch effectiveness, the compiled tier's cross-timestamp
-#: fusion cache (packed native-graph reuse) and plan-build hook failures,
-#: plus the resilience ladder (injected faults, kernel retries, engine
-#: fallbacks, cache-corruption rebuilds, aborted sequences).  User code may
-#: count arbitrary extra events.
+#: pipelined-prefetch effectiveness, and the resilience ladder (injected
+#: faults, kernel retries, engine fallbacks, cache-corruption rebuilds,
+#: aborted sequences).  User code may count arbitrary extra events.
 COUNTERS = (
     "csr_cache_hits",
     "csr_cache_misses",
@@ -51,9 +49,6 @@ COUNTERS = (
     "ctx_cache_misses",
     "prefetch_hits",
     "prefetch_misses",
-    "compiled_fusion_hits",
-    "compiled_fusion_misses",
-    "plan_hook_errors",
     "faults_injected",
     "kernel_retries",
     "engine_fallbacks",
@@ -142,10 +137,6 @@ class Profiler:
                 if stack:
                     outer_name, _ = stack[-1]
                     stack[-1] = (outer_name, end)
-
-    def in_phase(self, name: str) -> bool:
-        """Whether ``name`` is open anywhere on this thread's phase stack."""
-        return any(n == name for n, _ in self._stack())
 
     def seconds(self, name: str) -> float:
         """Accumulated seconds for a phase (0 if never entered)."""

@@ -389,7 +389,7 @@ class MetricRegistry:
         """Zero every child in place.
 
         Families and children survive so references cached by hot paths
-        (e.g. the launcher's per-tier histogram children) keep recording
+        (e.g. the launcher's launch-latency histogram child) keep recording
         into the registry after ``Device.reset()``.
         """
         for fam in self.families():

@@ -155,6 +155,20 @@ class InferenceEngine:
         ``False`` ablates the k-hop dirty sets: every applied batch
         invalidates all rows (per-version recompute, no cross-version
         reuse).
+    max_batch:
+        Most pending queries one dispatcher round answers; a longer queue
+        is served over several rounds (a cache-valid round runs no forward).
+    engine:
+        :class:`~repro.core.engine.ExecutionEngine` name for the serving
+        forwards (``"kernel"`` or ``"interpreter"``); None lets each
+        program use its own.  Both are bitwise-identical.
+    state:
+        Recurrent state passed to *every* forward as ``model.step``'s
+        ``state`` (``(N, hidden)`` for TGCN), or None for a fresh state.  It is
+        fixed at construction and never advanced, so served outputs of a
+        recurrent model (TGCN) ignore temporal history: each answer is one
+        step from this state at the latest snapshot (``docs/SERVING.md``,
+        "Known semantics gaps").
     """
 
     def __init__(

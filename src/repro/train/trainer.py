@@ -77,10 +77,9 @@ class STGraphTrainer:
         # pipeline = prefetch staleness bound (0 = strictly serial; k >= 1
         # builds up to k future snapshots on a worker thread).  Numerics are
         # identical either way — see docs/EXECUTOR.md §Pipelined execution.
-        # engine = executor-wide ExecutionEngine override ("kernel",
-        # "interpreter", "compiled"); None lets each program pick its own.
-        # All registered engines are bitwise-identical, so this is a pure
-        # speed/differential-testing switch.
+        # engine = executor-wide ExecutionEngine override ("kernel" or
+        # "interpreter"); None lets each program pick its own.  Both are
+        # bitwise-identical, so this is a pure differential-testing switch.
         self.executor = TemporalExecutor(graph, engine=engine, pipeline=pipeline)
         self.epoch_times: list[float] = []
         #: checkpoint path this run resumed from (None for a fresh run);

@@ -7,12 +7,16 @@ gradients must be *bitwise* identical — any disagreement is a codegen bug.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.core import (
-    CompiledEngine,
     InterpreterEngine,
     KernelEngine,
     TemporalExecutor,
@@ -44,14 +48,13 @@ N, F_IN = 18, 4
 # Registry
 # ---------------------------------------------------------------------------
 def test_available_engines():
-    assert {"kernel", "interpreter", "compiled"} <= set(available_engines())
+    assert available_engines() == ["interpreter", "kernel"]
 
 
 def test_get_engine_memoizes_singletons():
     assert get_engine("kernel") is get_engine("kernel")
     assert isinstance(get_engine("kernel"), KernelEngine)
     assert isinstance(get_engine("interpreter"), InterpreterEngine)
-    assert isinstance(get_engine("compiled"), CompiledEngine)
 
 
 def test_get_engine_instance_passthrough():
@@ -78,8 +81,8 @@ def test_register_engine_idempotent_for_same_factory():
     (module re-imports and plugin hooks must not explode)."""
     register_engine("kernel", KernelEngine)
     register_engine("interpreter", InterpreterEngine)
-    register_engine("compiled", CompiledEngine)
     assert isinstance(get_engine("kernel"), KernelEngine)
+    assert available_engines() == ["interpreter", "kernel"]
 
 
 def test_register_engine_rejects_genuine_conflict():
@@ -95,6 +98,29 @@ def test_executor_engine_override():
     ex.set_engine("interpreter")
     assert isinstance(ex.engine, InterpreterEngine)
     assert isinstance(TemporalExecutor(sg, engine="kernel").engine, KernelEngine)
+
+
+def test_executor_stats_name_engine():
+    sg = StaticGraph.from_networkx(nx.gnp_random_graph(6, 0.5, seed=1, directed=True))
+    assert TemporalExecutor(sg, engine="interpreter").stats()["engine"] == "interpreter"
+    assert TemporalExecutor(sg).stats()["engine"] == "default"
+
+
+@pytest.mark.parametrize("name", ["copiled", "compiled"])
+def test_cli_unknown_engine_exits_nonzero_with_message(name):
+    """``repro train --engine <unknown>`` must exit non-zero with the engine
+    list on stderr — not a traceback.  ``compiled`` names a removed engine
+    and is rejected the same way as a typo."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "train", "--dataset", "HC", "--engine", name],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert "unknown engine" in proc.stderr
+    assert "interpreter" in proc.stderr and "kernel" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +220,7 @@ def _run(case, engine):
     return out.data, grads, ex
 
 
-@pytest.mark.parametrize("other", ["interpreter", "compiled"])
+@pytest.mark.parametrize("other", ["interpreter"])
 @pytest.mark.parametrize("case", sorted(ZOO), ids=sorted(ZOO))
 def test_engines_agree_bitwise(case, other):
     out_k, grads_k, _ = _run(case, "kernel")

@@ -56,13 +56,12 @@ def test_pipelined_losses_bitwise_equal_serial(workload, staleness):
     )
 
 
-@pytest.mark.parametrize("engine", ["kernel", "interpreter", "compiled"])
+@pytest.mark.parametrize("engine", ["kernel", "interpreter"])
 @pytest.mark.parametrize("staleness", [1, 2, 4])
 def test_engine_axis_bitwise_under_pipelining(workload, staleness, engine):
     """Neither the engine nor the staleness knob moves the numbers: every
     (engine, staleness) cell reproduces the serial default-engine losses
-    bitwise.  The compiled tier's cross-timestamp fusion cache must stay
-    invisible even when prefetching changes which thread builds snapshots."""
+    bitwise."""
     ds, samples = workload
     serial = _losses(ds, samples, pipeline=0)
     cell = _losses(ds, samples, pipeline=staleness, engine=engine)
